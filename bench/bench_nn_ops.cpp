@@ -10,10 +10,14 @@
 // scripts/bench_nn_ops.sh runs this binary and records BENCH_nn_ops.json at
 // the repo root so the perf trajectory is tracked PR over PR.
 
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "nn/gemm.h"
+#include "nn/loss.h"
 #include "nn/ops.h"
+#include "nn/optimizer.h"
 #include "nn/serialize.h"
 #include "nn/zoo.h"
 #include "util/rng.h"
@@ -194,7 +198,7 @@ BENCHMARK(BM_Conv2dBackwardNaive)
     ->ArgsProduct({{1, 16, 64}, {0, 1}})
     ->ArgNames({"batch", "layer"});
 
-// Intra-op scaling for conv: one image per chunk across the batch.
+// Intra-op scaling for conv: blocks of images split across the pool.
 void BM_Conv2dForwardThreads(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   IntraOpGuard guard(threads);
@@ -225,6 +229,31 @@ void BM_C10NetForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_C10NetForward);
+
+// One local SGD step as an FL client takes it: forward, loss, backward and
+// the parameter update. Batch 16 is the benchmark workloads' paper-drl
+// and durable-chaos setting, batch 8 fleet-cohort's.
+void BM_C10NetTrainStep(benchmark::State& state) {
+  const int batch = static_cast<int>(state.range(0));
+  IntraOpGuard guard(1);
+  util::Rng rng(13);
+  nn::Sequential model = nn::MakeC10Net(&rng);
+  nn::Sgd sgd(0.01);
+  const nn::Tensor images = RandomTensor({batch, 3, 8, 8}, 14);
+  std::vector<int> labels(static_cast<size_t>(batch));
+  for (int i = 0; i < batch; ++i) labels[static_cast<size_t>(i)] = i % 10;
+  for (auto _ : state) {
+    model.ZeroGrads();
+    const nn::Tensor logits = model.Forward(images, /*training=*/true);
+    const nn::LossResult loss = nn::SoftmaxCrossEntropy(logits, labels);
+    const nn::Tensor grad_input = model.Backward(loss.grad_logits);
+    sgd.Step(&model);
+    benchmark::DoNotOptimize(loss.loss);
+    benchmark::DoNotOptimize(grad_input.data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_C10NetTrainStep)->Arg(8)->Arg(16)->ArgName("batch");
 
 void BM_SerializeModel(benchmark::State& state) {
   util::Rng rng(11);

@@ -261,7 +261,11 @@ void IntraOpParallelRange(int64_t n, int64_t grain,
 const char* GemmKernelName() { return MicroKernel().name; }
 
 void Sgemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
-           int lda, const float* b, int ldb, float* c, int ldc, GemmAcc acc) {
+           int lda, const float* b, int ldb, float* c, int ldc, GemmAcc acc,
+           int k_run) {
+  FEDMIGR_CHECK(k_run == 0 ||
+                (acc == GemmAcc::kAddAfter && k_run > 0 && k % k_run == 0))
+      << "Sgemm k_run " << k_run << " with k " << k;
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     if (acc == GemmAcc::kOverwrite) {
@@ -284,6 +288,7 @@ void Sgemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
 
   const MicroKernelFn micro = MicroKernel().fn;
   const int n_panels = (n + kNR - 1) / kNR;
+  if (k_run == 0) k_run = k;
 
   ScratchArena::Scope scope;
   float* bp = ScratchArena::ThreadLocal().AllocFloats(
@@ -309,27 +314,33 @@ void Sgemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
         const int j0 = np * kNR;
         const int nr = std::min(kNR, n - j0);
         const float* bp_panel = bp + static_cast<size_t>(np) * k * kNR;
-        if (acc == GemmAcc::kSeedFromC) {
-          for (int r = 0; r < mr; ++r) {
-            const float* crow = c + static_cast<size_t>(i0 + r) * ldc + j0;
-            float* trow = tile + r * kNR;
-            for (int cc = 0; cc < nr; ++cc) trow[cc] = crow[cc];
-            for (int cc = nr; cc < kNR; ++cc) trow[cc] = 0.0f;
-          }
-          if (mr < kMR) {
-            std::memset(tile + mr * kNR, 0, (kMR - mr) * kNR * sizeof(float));
-          }
-        } else {
-          std::memset(tile, 0, sizeof(tile));
-        }
-        micro(k, ap_panel, bp_panel, tile);
-        for (int r = 0; r < mr; ++r) {
-          float* crow = c + static_cast<size_t>(i0 + r) * ldc + j0;
-          const float* trow = tile + r * kNR;
-          if (acc == GemmAcc::kAddAfter) {
-            for (int cc = 0; cc < nr; ++cc) crow[cc] += trow[cc];
+        // One pass unless kAddAfter splits k into runs (packed panels are
+        // k-major, so a run is a contiguous slice of both).
+        for (int p0 = 0; p0 < k; p0 += k_run) {
+          if (acc == GemmAcc::kSeedFromC) {
+            for (int r = 0; r < mr; ++r) {
+              const float* crow = c + static_cast<size_t>(i0 + r) * ldc + j0;
+              float* trow = tile + r * kNR;
+              for (int cc = 0; cc < nr; ++cc) trow[cc] = crow[cc];
+              for (int cc = nr; cc < kNR; ++cc) trow[cc] = 0.0f;
+            }
+            if (mr < kMR) {
+              std::memset(tile + mr * kNR, 0,
+                          (kMR - mr) * kNR * sizeof(float));
+            }
           } else {
-            for (int cc = 0; cc < nr; ++cc) crow[cc] = trow[cc];
+            std::memset(tile, 0, sizeof(tile));
+          }
+          micro(k_run, ap_panel + static_cast<size_t>(p0) * kMR,
+                bp_panel + static_cast<size_t>(p0) * kNR, tile);
+          for (int r = 0; r < mr; ++r) {
+            float* crow = c + static_cast<size_t>(i0 + r) * ldc + j0;
+            const float* trow = tile + r * kNR;
+            if (acc == GemmAcc::kAddAfter) {
+              for (int cc = 0; cc < nr; ++cc) crow[cc] += trow[cc];
+            } else {
+              for (int cc = 0; cc < nr; ++cc) crow[cc] = trow[cc];
+            }
           }
         }
       }

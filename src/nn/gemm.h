@@ -36,7 +36,8 @@ enum class GemmAcc {
   // forward, where the output plane is pre-filled with the bias).
   kSeedFromC,
   // P is fully reduced in registers first, then added: C = C + P (legacy
-  // conv weight-gradient, a register tap-sum flushed into memory).
+  // conv weight-gradient, a register tap-sum flushed into memory). With a
+  // k_run (below) each run of k is one such partial.
   kAddAfter,
 };
 
@@ -46,9 +47,15 @@ enum class GemmAcc {
 // read as a[p * lda + i]. op(B) likewise is k x n, or with trans_b the
 // transpose of an n x k buffer. Runs on the intra-op pool when one is
 // configured and the caller is not already inside a pool worker.
+//
+// k_run > 0 (kAddAfter only; it must divide k) splits the reduction into
+// runs of k_run consecutive k steps, each reduced in registers and added
+// to C in k-order: C = ((C + P_0) + P_1) + ... — bit for bit the same as
+// k / k_run calls over the runs in turn. The conv weight gradient uses
+// one run per image.
 void Sgemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
            int lda, const float* b, int ldb, float* c, int ldc,
-           GemmAcc acc = GemmAcc::kOverwrite);
+           GemmAcc acc = GemmAcc::kOverwrite, int k_run = 0);
 
 // Intra-op thread count for the kernel layer. Defaults to the
 // FEDMIGR_INTRA_OP_THREADS environment variable, else 1 (serial). The

@@ -134,22 +134,44 @@ Tensor Flatten::Backward(const Tensor& grad_output) {
 
 // ----------------------------------------------------------------- ReLU --
 
-Tensor ReLU::Forward(const Tensor& input, bool /*training*/) {
-  cached_input_ = input;
-  Tensor output = input;
-  for (int64_t i = 0; i < output.size(); ++i) {
-    if (output[i] < 0.0f) output[i] = 0.0f;
+namespace {
+
+// y = x < 0 ? 0 : x, so -0.0 and NaN pass through unchanged. Written as an
+// unconditional select, which the compiler vectorizes.
+Tensor ReluForward(Tensor x) {
+  float* p = x.data();
+  const int64_t n = x.size();
+  for (int64_t i = 0; i < n; ++i) p[i] = p[i] < 0.0f ? 0.0f : p[i];
+  return x;
+}
+
+// Gradient through a ReLU from its cached *output* y: zero where y <= 0,
+// which holds exactly where the input was <= 0 (-0.0 included, NaN not).
+// g[i] is loaded before the select so the store is unconditional;
+// otherwise GCC keeps a branch per element.
+Tensor ReluBackward(const Tensor& y, const Tensor& grad_output) {
+  FEDMIGR_CHECK(grad_output.SameShape(y));
+  Tensor grad_input = grad_output;
+  float* g = grad_input.data();
+  const float* yp = y.data();
+  const int64_t n = grad_input.size();
+  for (int64_t i = 0; i < n; ++i) {
+    const float gi = g[i];
+    g[i] = yp[i] <= 0.0f ? 0.0f : gi;
   }
+  return grad_input;
+}
+
+}  // namespace
+
+Tensor ReLU::Forward(const Tensor& input, bool /*training*/) {
+  Tensor output = ReluForward(input);
+  cached_output_ = output;
   return output;
 }
 
 Tensor ReLU::Backward(const Tensor& grad_output) {
-  FEDMIGR_CHECK(grad_output.SameShape(cached_input_));
-  Tensor grad_input = grad_output;
-  for (int64_t i = 0; i < grad_input.size(); ++i) {
-    if (cached_input_[i] <= 0.0f) grad_input[i] = 0.0f;
-  }
-  return grad_input;
+  return ReluBackward(cached_output_, grad_output);
 }
 
 // ----------------------------------------------------------------- Tanh --
@@ -242,19 +264,13 @@ ResidualDense::ResidualDense(int features, int hidden, util::Rng* rng)
 Tensor ResidualDense::Forward(const Tensor& input, bool training) {
   Tensor residual = fc2_->Forward(
       relu1_->Forward(fc1_->Forward(input, training), training), training);
-  cached_sum_ = Add(input, residual);
-  Tensor output = cached_sum_;
-  for (int64_t i = 0; i < output.size(); ++i) {
-    if (output[i] < 0.0f) output[i] = 0.0f;
-  }
+  Tensor output = ReluForward(Add(input, residual));
+  cached_output_ = output;
   return output;
 }
 
 Tensor ResidualDense::Backward(const Tensor& grad_output) {
-  Tensor grad_sum = grad_output;
-  for (int64_t i = 0; i < grad_sum.size(); ++i) {
-    if (cached_sum_[i] <= 0.0f) grad_sum[i] = 0.0f;
-  }
+  Tensor grad_sum = ReluBackward(cached_output_, grad_output);
   Tensor grad_branch =
       fc1_->Backward(relu1_->Backward(fc2_->Backward(grad_sum)));
   grad_branch.Add(grad_sum);  // skip connection

@@ -121,7 +121,7 @@ class ReLU : public Layer {
   }
 
  private:
-  Tensor cached_input_;
+  Tensor cached_output_;  // the mask source for Backward: y <= 0 iff x <= 0
 };
 
 class Tanh : public Layer {
@@ -191,7 +191,7 @@ class ResidualDense : public Layer {
   std::unique_ptr<Dense> fc1_;
   std::unique_ptr<ReLU> relu1_;
   std::unique_ptr<Dense> fc2_;
-  Tensor cached_sum_;  // x + F(x), pre-activation of the output ReLU
+  Tensor cached_output_;  // ReLU(x + F(x)); masks the output ReLU's gradient
 };
 
 }  // namespace fedmigr::nn

@@ -36,8 +36,10 @@ void Conv2dBackward(const Tensor& input, const Tensor& kernel, int pad,
                     Tensor* grad_kernel, Tensor* grad_bias);
 
 // 2x2 max pooling with stride 2 (the only pooling the paper's models use).
-// `argmax` (same shape as output) records the flat input offset of each
-// selected element for the backward pass.
+// `argmax` (same shape as output) records which element of each 2x2 window
+// was selected, as 2 * dy + dx, for the backward pass. Window-relative
+// positions stay exact in a float whatever the input size; flat input
+// offsets would not above 2^24 elements.
 Tensor MaxPool2x2Forward(const Tensor& input, Tensor* argmax);
 Tensor MaxPool2x2Backward(const Tensor& grad_output, const Tensor& argmax,
                           const Shape& input_shape);

@@ -201,6 +201,29 @@ TEST(GemmDeterminismTest, InPoolExecutionMatchesTopLevel) {
   SetIntraOpThreads(original);
 }
 
+// kAddAfter with k runs equals one kAddAfter call per run, in order, bit
+// for bit — including a trans_b operand, as the conv weight gradient uses.
+TEST(GemmAddAfterTest, KRunsEqualOneCallPerRunBitwise) {
+  constexpr int kM = 9, kN = 21, kRun = 7, kRuns = 5, kK = kRun * kRuns;
+  const Tensor a = RandomTensor({kM, kK}, 91);
+  const Tensor bt = RandomTensor({kN, kK}, 92);
+  const Tensor c0 = RandomTensor({kM, kN}, 93);
+  Tensor runs = c0;
+  Sgemm(false, true, kM, kN, kK, a.data(), kK, bt.data(), kK, runs.data(),
+        kN, GemmAcc::kAddAfter, kRun);
+  Tensor calls = c0;
+  for (int r = 0; r < kRuns; ++r) {
+    Sgemm(false, true, kM, kN, kRun, a.data() + r * kRun, kK,
+          bt.data() + r * kRun, kK, calls.data(), kN, GemmAcc::kAddAfter);
+  }
+  EXPECT_EQ(MaxAbsDiff(runs, calls), 0.0f);
+  // One run of all of k differs from the chain of partials.
+  Tensor whole = c0;
+  Sgemm(false, true, kM, kN, kK, a.data(), kK, bt.data(), kK, whole.data(),
+        kN, GemmAcc::kAddAfter);
+  EXPECT_GT(MaxAbsDiff(whole, calls), 0.0f);
+}
+
 TEST(GemmConfigTest, KernelNameIsResolved) {
   const std::string name = GemmKernelName();
   EXPECT_TRUE(name == "avx2+fma" || name == "portable") << name;

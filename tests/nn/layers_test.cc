@@ -1,6 +1,11 @@
 #include "nn/layers.h"
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -73,6 +78,100 @@ TEST(ReluTest, BackwardMasksGradient) {
   const Tensor out = relu.Backward(grad);
   EXPECT_EQ(out[0], 0.0f);
   EXPECT_EQ(out[1], 5.0f);
+}
+
+// The original ReLU's branchy semantics, the reference for the edge-value
+// tests: forward clamps x < 0 to +0 and keeps everything else (-0.0 and
+// NaN included); backward zeroes the gradient where x <= 0.
+float OldReluForward(float x) {
+  if (x < 0.0f) x = 0.0f;
+  return x;
+}
+float OldReluBackward(float x, float g) {
+  if (x <= 0.0f) g = 0.0f;
+  return g;
+}
+
+void ExpectBitwise(const Tensor& got, const std::vector<float>& want,
+                   const char* what) {
+  ASSERT_EQ(got.size(), static_cast<int64_t>(want.size())) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(got[static_cast<int64_t>(i)]),
+              std::bit_cast<uint32_t>(want[i]))
+        << what << " element " << i;
+  }
+}
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kDenormal = 1e-40f;
+
+TEST(ReluTest, EdgeValuesMatchTheBranchySemanticsBitwise) {
+  const std::vector<float> x = {0.0f, -0.0f, kNaN, -kNaN, kInf, -kInf,
+                                kDenormal, -kDenormal, 2.5f, -2.5f};
+  // Gradients with edge values of their own, so a masked lane must read
+  // +0.0 whatever it held.
+  const std::vector<float> g = {kNaN, -0.0f, 3.0f, -kInf, kInf, kNaN,
+                                -kDenormal, 4.0f, -0.0f, 5.0f};
+  const int n = static_cast<int>(x.size());
+  ReLU relu;
+  const Tensor out = relu.Forward(Tensor({1, n}, x), true);
+  const Tensor grad = relu.Backward(Tensor({1, n}, g));
+  std::vector<float> want_out, want_grad;
+  for (int i = 0; i < n; ++i) {
+    want_out.push_back(OldReluForward(x[static_cast<size_t>(i)]));
+    want_grad.push_back(OldReluBackward(x[static_cast<size_t>(i)],
+                                        g[static_cast<size_t>(i)]));
+  }
+  ExpectBitwise(out, want_out, "forward");
+  ExpectBitwise(grad, want_grad, "backward");
+}
+
+// ResidualDense's output ReLU, on the same edge values. With a zero
+// branch and fc2 bias b, the pre-activation is x + b for a finite row, so
+// the test sets it directly: +0 (from -0.0 + 0), ±denormal, ±inf (from
+// overflow) and ordinary values. A row holding a NaN turns the whole
+// branch, and so the whole pre-activation row, into NaN. (-0.0 cannot
+// arise: the branch adds +0.)
+TEST(ResidualDenseTest, EdgeValuesMatchTheBranchySemanticsBitwise) {
+  constexpr int kFeatures = 6;
+  util::Rng rng(22);
+  ResidualDense block(kFeatures, 4, &rng);
+  for (Tensor* p : block.Params()) p->Zero();
+  Tensor& fc2_bias = *block.Params()[3];
+  const std::vector<float> b = {0.0f, 0.0f, 0.0f, 3e38f, -3e38f, 1.0f};
+  for (int i = 0; i < kFeatures; ++i) fc2_bias[i] = b[static_cast<size_t>(i)];
+  const std::vector<float> x = {
+      -0.0f, kDenormal, -kDenormal, 3e38f,  -3e38f, -1.0f,  // row 0
+      kNaN,  1.0f,      -1.0f,      0.0f,   0.0f,   0.0f,   // row 1
+      1.0f,  -1.0f,     -0.0f,      -3e38f, 3e38f,  -2.0f,  // row 2
+  };
+  const std::vector<float> g = {
+      kNaN, 1.0f,  2.0f, 3.0f,  kInf, -0.0f,  //
+      1.0f, 2.0f,  kNaN, -kInf, 5.0f, 6.0f,   //
+      7.0f, -kInf, kNaN, 8.0f,  9.0f, 10.0f,  //
+  };
+  const Tensor out = block.Forward(Tensor({3, kFeatures}, x), true);
+  const Tensor grad = block.Backward(Tensor({3, kFeatures}, g));
+  std::vector<float> want_out, want_grad;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const size_t row = i / kFeatures;
+    const float pre = row == 1 ? kNaN : x[i] + b[i % kFeatures];
+    want_out.push_back(OldReluForward(pre));
+    want_grad.push_back(OldReluBackward(pre, g[i]));
+  }
+  // Row 1 is NaN throughout, forward and backward: its NaNs come from
+  // 0 * NaN in the branch, which fixes their NaN-ness but not their
+  // payload. In the finite rows the zero branch passes +0, so the input
+  // gradient is exactly the output ReLU's masked gradient.
+  for (int64_t i = kFeatures; i < 2 * kFeatures; ++i) {
+    EXPECT_TRUE(std::isnan(out[i])) << i;
+    EXPECT_TRUE(std::isnan(grad[i])) << i;
+    want_out[static_cast<size_t>(i)] = out[i];
+    want_grad[static_cast<size_t>(i)] = grad[i];
+  }
+  ExpectBitwise(out, want_out, "forward");
+  ExpectBitwise(grad, want_grad, "backward");
 }
 
 TEST(TanhSigmoidTest, RangeAndGradients) {

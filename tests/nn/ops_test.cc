@@ -1,5 +1,11 @@
 #include "nn/ops.h"
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
@@ -137,7 +143,7 @@ TEST(MaxPoolTest, SelectsMaxima) {
   const Tensor out = MaxPool2x2Forward(input, &argmax);
   EXPECT_EQ(out.shape(), (Shape{1, 1, 1, 1}));
   EXPECT_EQ(out[0], 4.0f);
-  EXPECT_EQ(argmax[0], 1.0f);  // flat index of the max
+  EXPECT_EQ(argmax[0], 1.0f);  // window position of the max: row 0, col 1
 }
 
 TEST(MaxPoolTest, BackwardRoutesGradientToArgmax) {
@@ -161,6 +167,147 @@ TEST(MaxPoolTest, MultiChannelShapes) {
   EXPECT_EQ(out.shape(), (Shape{2, 3, 2, 2}));
   EXPECT_TRUE(argmax.SameShape(out));
 }
+
+TEST(MaxPoolTest, FirstMaximumWinsTiesAndNaNNeverReplacesBest) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Windows: all tied; tie between positions 1 and 2; NaN first; NaN
+  // at position 1 and a tie between 2 and 3; max in the last position.
+  Tensor input({1, 1, 2, 10}, {5, 5, 1, 3, nan, 9, 2, nan, 0, 1,  //
+                               5, 5, 3, 2, 7, 8, 4, 4, 0, 6});
+  Tensor argmax;
+  const Tensor out = MaxPool2x2Forward(input, &argmax);
+  const float expected_pos[] = {0, 1, 0, 2, 3};
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(argmax[i], expected_pos[i]) << i;
+  EXPECT_EQ(out[0], 5.0f);
+  EXPECT_EQ(out[1], 3.0f);
+  EXPECT_TRUE(std::isnan(out[2]));
+  EXPECT_EQ(out[3], 4.0f);  // NaN > 2 is false: the NaN is skipped
+  EXPECT_EQ(out[4], 6.0f);
+}
+
+// The argmax holds window-relative positions (0..3), not flat input
+// offsets: a float stores integers exactly only up to 2^24, so flat offsets
+// would silently route gradients to the wrong elements on larger inputs.
+// Identical planes must therefore store identical positions wherever they
+// sit in the tensor, which pins the representation without allocating a
+// 2^24-element input.
+TEST(MaxPoolTest, ArgmaxIsWindowRelativeSoItStaysExactAtAnySize) {
+  constexpr int kPlanes = 96;
+  const float plane[16] = {1, 4, 0, 2, 3, 2, 9, 1,  //
+                           0, 0, 5, 6, 7, 1, 6, 8};
+  Tensor input({kPlanes / 4, 4, 4, 4});
+  for (int64_t i = 0; i < input.size(); ++i) input[i] = plane[i % 16];
+  Tensor argmax;
+  const Tensor out = MaxPool2x2Forward(input, &argmax);
+  const float expected_pos[4] = {1, 2, 2, 3};
+  for (int64_t i = 0; i < argmax.size(); ++i) {
+    ASSERT_EQ(argmax[i], expected_pos[i % 4]) << "output " << i;
+  }
+  Tensor grad_out(out.shape());
+  for (int64_t i = 0; i < grad_out.size(); ++i) {
+    grad_out[i] = static_cast<float>(i + 1);
+  }
+  const Tensor grad_in = MaxPool2x2Backward(grad_out, argmax, input.shape());
+  const int expected_offset[4] = {1, 6, 12, 15};  // within each 4x4 plane
+  for (int p = 0; p < kPlanes; ++p) {
+    for (int i = 0; i < 16; ++i) {
+      float want = 0.0f;
+      for (int o = 0; o < 4; ++o) {
+        if (expected_offset[o] == i) want = grad_out[p * 4 + o];
+      }
+      ASSERT_EQ(grad_in[p * 16 + i], want) << "plane " << p << " elem " << i;
+    }
+  }
+}
+
+// -------------------------------------------------- conv batch contract --
+// A batched conv call must be bit-for-bit the per-image calls: forward
+// output and grad_input are the batch-1 results concatenated, grad_kernel
+// is the image-order sum of the per-image kernel gradients, and grad_bias
+// is the serial sum over images and positions. Batch sizes fall below, at
+// and across the image-block size of both C10Net conv shapes (5 images for
+// 3->8 on 8x8, 8 for 8->16 on 4x4).
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+Tensor RandomConvTensor(Shape shape, uint64_t seed) {
+  util::Rng rng(seed);
+  Tensor t(std::move(shape));
+  for (int64_t i = 0; i < t.size(); ++i) {
+    t[i] = static_cast<float>(rng.Normal());
+  }
+  return t;
+}
+
+Tensor Image(const Tensor& batch, int n) {
+  Shape shape = batch.shape();
+  shape[0] = 1;
+  Tensor image(shape);
+  const int64_t size = image.size();
+  std::memcpy(image.data(), batch.data() + n * size,
+              static_cast<size_t>(size) * sizeof(float));
+  return image;
+}
+
+class ConvBatchContractTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(ConvBatchContractTest, BatchEqualsPerImageCallsBitForBit) {
+  const auto [layer, batch] = GetParam();
+  const int cin = layer == 0 ? 3 : 8, cout = layer == 0 ? 8 : 16;
+  const int size = layer == 0 ? 8 : 4;
+  const uint64_t seed = static_cast<uint64_t>(100 * layer + batch);
+  const Tensor input = RandomConvTensor({batch, cin, size, size}, seed);
+  const Tensor kernel = RandomConvTensor({cout, cin, 5, 5}, seed + 1);
+  const Tensor bias = RandomConvTensor({cout}, seed + 2);
+  const Tensor grad_out = RandomConvTensor({batch, cout, size, size}, seed + 3);
+
+  const Tensor out = Conv2dForward(input, kernel, bias, 2);
+  Tensor gin, gker, gbias;
+  Conv2dBackward(input, kernel, 2, grad_out, &gin, &gker, &gbias);
+
+  Tensor want_out({batch, cout, size, size});
+  Tensor want_gin(input.shape());
+  Tensor want_gker(kernel.shape());
+  Tensor want_gbias({cout});
+  const int64_t out_img = want_out.size() / batch;
+  const int64_t in_img = input.size() / batch;
+  for (int n = 0; n < batch; ++n) {
+    const Tensor x = Image(input, n);
+    const Tensor gy = Image(grad_out, n);
+    const Tensor y = Conv2dForward(x, kernel, bias, 2);
+    Tensor gx, gk, gb;
+    Conv2dBackward(x, kernel, 2, gy, &gx, &gk, &gb);
+    std::memcpy(want_out.data() + n * out_img, y.data(),
+                static_cast<size_t>(out_img) * sizeof(float));
+    std::memcpy(want_gin.data() + n * in_img, gx.data(),
+                static_cast<size_t>(in_img) * sizeof(float));
+    for (int64_t i = 0; i < gk.size(); ++i) want_gker[i] += gk[i];
+    for (int oc = 0; oc < cout; ++oc) {
+      for (int i = 0; i < size * size; ++i) {
+        want_gbias[oc] += gy[oc * size * size + i];
+      }
+    }
+  }
+  EXPECT_TRUE(BitwiseEqual(out, want_out));
+  EXPECT_TRUE(BitwiseEqual(gin, want_gin));
+  EXPECT_TRUE(BitwiseEqual(gker, want_gker));
+  EXPECT_TRUE(BitwiseEqual(gbias, want_gbias));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    C10NetConvs, ConvBatchContractTest,
+    ::testing::Combine(::testing::Values(0, 1),
+                       ::testing::Values(1, 5, 8, 13, 33)),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param) == 0 ? "L0b" : "L3b";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
+    });
 
 }  // namespace
 }  // namespace fedmigr::nn
