@@ -1,6 +1,7 @@
 // Property sweeps over the trainer: traffic conservation, budget
 // monotonicity and scheme invariants across a grid of configurations.
 
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -47,8 +48,11 @@ RunResult RunConfig(const std::string& scheme, int agg_period, int epochs,
   return trainer.Run();
 }
 
+// The scheme is held as std::string, not const char*: gtest prints a
+// pointer parameter with its address, which would put a per-run address
+// into the discovered test names.
 class SchemeSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(SchemeSweep, TrafficSplitsAreConsistent) {
   const auto [scheme, agg_period] = GetParam();
