@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "fl/policies.h"
 #include "obs/journal.h"
@@ -74,10 +75,23 @@ fl::RunResult RunBench(const core::Workload& workload,
 
 namespace {
 
-// Returns the value of a "--flag=value" argument, or nullptr.
+// Bench flags fail closed: a run that cannot honor a flag would print
+// numbers for a different run than the one asked for.
+[[noreturn]] void FlagError(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  std::exit(2);
+}
+
+// Returns the value of a "--flag=value" argument, or nullptr. The flag
+// written without "=value" ("--metrics-out /path") is an error: its value
+// would otherwise be dropped silently.
 const char* FlagValue(const char* arg, const char* prefix) {
   const size_t len = std::strlen(prefix);
-  return std::strncmp(arg, prefix, len) == 0 ? arg + len : nullptr;
+  if (std::strncmp(arg, prefix, len) == 0) return arg + len;
+  if (std::strncmp(arg, prefix, len - 1) == 0 && arg[len - 1] == '\0') {
+    FlagError(std::string(arg) + " needs a value: write " + prefix + "VALUE");
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -177,12 +191,11 @@ TelemetryFlags ParseTelemetryFlags(int argc, char** argv) {
       flags.trace_out = v;
     } else if (const char* v = FlagValue(argv[i], "--log-level=")) {
       util::LogLevel level = util::LogLevel::kInfo;
-      if (util::ParseLogLevel(v, &level)) {
-        util::SetLogLevel(level);
-      } else {
-        FEDMIGR_LOG(kWarning) << "unknown --log-level '" << v
-                              << "' (want debug|info|warning|error)";
+      if (!util::ParseLogLevel(v, &level)) {
+        FlagError(std::string("unknown --log-level '") + v +
+                  "' (want debug|info|warning|error)");
       }
+      util::SetLogLevel(level);
     }
   }
   return flags;
@@ -192,13 +205,11 @@ RobustFlags ParseRobustFlags(int argc, char** argv) {
   RobustFlags flags;
   for (int i = 1; i < argc; ++i) {
     if (const char* v = FlagValue(argv[i], "--attack-mode=")) {
-      if (net::ParseAttackMode(v, &flags.attack_mode)) {
-        flags.any = true;
-      } else {
-        FEDMIGR_LOG(kWarning)
-            << "unknown --attack-mode '" << v
-            << "' (want none|sign-flip|gaussian|scale|silent|nan)";
+      if (!net::ParseAttackMode(v, &flags.attack_mode)) {
+        FlagError(std::string("unknown --attack-mode '") + v +
+                  "' (want none|sign-flip|gaussian|scale|silent|nan)");
       }
+      flags.any = true;
     } else if (const char* v = FlagValue(argv[i], "--attack-frac=")) {
       flags.attack_fraction = std::atof(v);
       flags.any = true;
@@ -206,20 +217,17 @@ RobustFlags ParseRobustFlags(int argc, char** argv) {
       flags.attack_scale = std::atof(v);
       flags.any = true;
     } else if (const char* v = FlagValue(argv[i], "--aggregator=")) {
-      if (fl::ParseAggregatorKind(v, &flags.robust.aggregator)) {
-        flags.any = true;
-      } else {
-        FEDMIGR_LOG(kWarning)
-            << "unknown --aggregator '" << v
-            << "' (want mean|trimmed-mean|median|krum|multi-krum)";
+      if (!fl::ParseAggregatorKind(v, &flags.robust.aggregator)) {
+        FlagError(std::string("unknown --aggregator '") + v +
+                  "' (want mean|trimmed-mean|median|krum|multi-krum)");
       }
+      flags.any = true;
     } else if (const char* v = FlagValue(argv[i], "--robust-profile=")) {
-      if (fl::ParseRobustProfile(v, &flags.robust)) {
-        flags.any = true;
-      } else {
-        FEDMIGR_LOG(kWarning) << "unknown --robust-profile '" << v
-                              << "' (want off|screen|defense)";
+      if (!fl::ParseRobustProfile(v, &flags.robust)) {
+        FlagError(std::string("unknown --robust-profile '") + v +
+                  "' (want off|screen|defense)");
       }
+      flags.any = true;
     }
   }
   return flags;

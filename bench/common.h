@@ -76,7 +76,10 @@ fl::RunResult RunBench(const core::Workload& workload,
 //   --snapshot-every=N   snapshot cadence in completed epochs (default 1)
 //   --snapshot-keep=N    snapshots retained per run (default 2)
 //   --resume             continue from the newest valid snapshot
-// Unrecognized arguments are ignored, so binaries can layer their own.
+// Unrecognized arguments are ignored, so binaries can layer their own. The
+// value flags of every parser here fail closed: one written without
+// "=VALUE" (`--metrics-out PATH`), or an unknown enum value
+// (`--aggregator=bogus`), prints an error and exits with status 2.
 struct SnapshotFlags {
   std::string directory;
   int every_epochs = 1;

@@ -40,7 +40,7 @@ struct PolicyContext {
   double global_loss = 0.0;
   const net::Budget* budget = nullptr;
   util::Rng* rng = nullptr;
-  // Per-client availability this epoch (crashes, dropout). nullptr means
+  // Per-client availability this epoch (crashes, quarantine). nullptr means
   // everyone is up. Learned planners mask unavailable clients out of their
   // action space; the trainer additionally cancels any planned move that
   // touches an unavailable endpoint.

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <optional>
 
 #include "data/distribution.h"
+#include "nn/gemm.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
@@ -67,10 +69,6 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset* train,
   store_.Publish(global);
   model_lineage_.assign(static_cast<size_t>(k), 0);
 
-  FEDMIGR_CHECK_GT(config_.client_fraction, 0.0);
-  FEDMIGR_CHECK_LE(config_.client_fraction, 1.0);
-  FEDMIGR_CHECK_GE(config_.dropout_prob, 0.0);
-  FEDMIGR_CHECK_LT(config_.dropout_prob, 1.0);
   FEDMIGR_CHECK_GE(config_.cohort_size, 0);
   FEDMIGR_CHECK_LE(config_.cohort_size, k);
   FEDMIGR_CHECK_GE(config_.quorum_fraction, 0.0);
@@ -85,9 +83,7 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset* train,
 
   if (config_.cohort_size > 0) {
     // Sharded mode: clients stay lazy until their first cohort; provenance
-    // slots hold empty vectors until then. Cohorts are the participation
-    // sample, so the α-knob must stay at its default.
-    FEDMIGR_CHECK_EQ(config_.client_fraction, 1.0);
+    // slots hold empty vectors until then.
     cohort_sampler_ = std::make_unique<CohortSampler>(config_.seed, k,
                                                       config_.cohort_size);
     model_distributions_.assign(static_cast<size_t>(k),
@@ -152,32 +148,14 @@ Client& Trainer::MaterializedClient(int i) const {
   return *client;
 }
 
-void Trainer::ResampleParticipants() {
-  const int k = num_clients();
-  if (config_.client_fraction >= 1.0) {
-    std::fill(participating_.begin(), participating_.end(), true);
-    return;
-  }
-  const int count = std::max(
-      1, static_cast<int>(config_.client_fraction * k + 0.5));
-  std::fill(participating_.begin(), participating_.end(), false);
-  for (int idx : rng_.SampleWithoutReplacement(k, count)) {
-    participating_[static_cast<size_t>(idx)] = true;
-  }
-}
-
 void Trainer::BeginRound(int64_t round) {
   if (round == cohort_round_) return;
   // The epoch this round boundary executes in (BeginRound only runs on
   // boundary epochs) — the stamp for everything journaled below.
   const int epoch = static_cast<int>(round) * config_.agg_period + 1;
-  // Retire the previous cohort. After a pre-chaos snapshot restore the list
-  // is gone — recompute it (the sampler is stateless, so this is the same
-  // list); chaos-era snapshots (v4) restore cohort_ directly.
-  std::vector<int> previous = std::move(cohort_);
-  if (previous.empty() && round > 0) {
-    previous = cohort_sampler_->Sample(round - 1);
-  }
+  // Retire the previous cohort (snapshots restore cohort_ itself, so this
+  // is the effective roster even on a resumed run).
+  const std::vector<int> previous = std::move(cohort_);
   const bool churning = config_.fault.chaos.churn_rate > 0.0;
   for (int i : previous) {
     participating_[static_cast<size_t>(i)] = false;
@@ -252,62 +230,51 @@ void Trainer::BeginRound(int64_t round) {
   double download_seconds = 0.0;
   for (int i : cohort_) {
     participating_[static_cast<size_t>(i)] = true;
-    Client& client = ClientAt(i);
-    if (client.model_ref() == store_.aggregate()) continue;
+    if (ClientAt(i).model_ref() == store_.aggregate()) continue;
     // Carryover members keep their pending local update instead of
     // re-syncing: their uncommitted error feedback rides into this round.
     if (!carried.empty() &&
         std::binary_search(carried.begin(), carried.end(), i)) {
       continue;
     }
-    const net::TransferResult res = faults_.Transfer(
-        net::kServerId, i, model_bytes_, topology_, &traffic_);
-    download_seconds = config_.wan_shared
-                           ? download_seconds + res.seconds
-                           : std::max(download_seconds, res.seconds);
-    budget_.ConsumeBandwidth(static_cast<double>(res.bytes));
-    if (!res.status.ok()) continue;
-    if (res.corrupted && CorruptedPayloadRejected(server_->global_model())) {
-      faults_.CountCorruptRejected();
-      continue;
-    }
-    client.SetModel(store_.aggregate());
-    client.SetProximalReference(store_.aggregate_flat());
-    auto& dist = model_distributions_[static_cast<size_t>(i)];
-    std::fill(dist.begin(), dist.end(), 0.0);
-    model_samples_[static_cast<size_t>(i)] = 0.0;
-    model_lineage_[static_cast<size_t>(i)] = store_.aggregate_lineage();
-    if (journal_ != nullptr) {
-      journal_->ModelDistributed(epoch, i, store_.aggregate_lineage());
-    }
+    DeliverAggregate(epoch, i, &download_seconds);
   }
   budget_.ConsumeTime(download_seconds);
 }
 
-void Trainer::RollAvailability() {
-  if (cohort_mode()) {
-    // Only cohort members can be available; everyone else keeps the false
-    // bits BeginRound left behind.
-    for (int i : cohort_) {
-      const size_t s = static_cast<size_t>(i);
-      available_[s] = participating_[s] &&
-                      (config_.dropout_prob == 0.0 ||
-                       !rng_.Bernoulli(config_.dropout_prob)) &&
-                      !faults_.IsCrashed(i);
-      eligible_[s] = available_[s] && reputation_.Eligible(i);
-    }
+void Trainer::DeliverAggregate(int epoch, int i, double* download_seconds) {
+  const net::TransferResult res = faults_.Transfer(
+      net::kServerId, i, model_bytes_, topology_, &traffic_);
+  *download_seconds = config_.wan_shared
+                          ? *download_seconds + res.seconds
+                          : std::max(*download_seconds, res.seconds);
+  budget_.ConsumeBandwidth(static_cast<double>(res.bytes));
+  if (!res.status.ok()) return;
+  if (res.corrupted && CorruptedPayloadRejected(server_->global_model())) {
+    faults_.CountCorruptRejected();
     return;
   }
-  for (size_t i = 0; i < available_.size(); ++i) {
-    available_[i] = participating_[i] &&
-                    (config_.dropout_prob == 0.0 ||
-                     !rng_.Bernoulli(config_.dropout_prob)) &&
-                    !faults_.IsCrashed(static_cast<int>(i));
-    // Quarantined clients are carved out of the migration action space the
-    // same way crashed ones are (the PR 1 crash-mask plumbing): policies
-    // only ever see `eligible_`.
-    eligible_[i] =
-        available_[i] && reputation_.Eligible(static_cast<int>(i));
+  Client& client = MaterializedClient(i);
+  client.SetModel(store_.aggregate());
+  client.SetProximalReference(store_.aggregate_flat());
+  auto& dist = model_distributions_[static_cast<size_t>(i)];
+  std::fill(dist.begin(), dist.end(), 0.0);
+  model_samples_[static_cast<size_t>(i)] = 0.0;
+  model_lineage_[static_cast<size_t>(i)] = store_.aggregate_lineage();
+  if (journal_ != nullptr) {
+    journal_->ModelDistributed(epoch, i, store_.aggregate_lineage());
+  }
+}
+
+void Trainer::RollAvailability() {
+  // Only roster members can be available; in cohort mode everyone else
+  // keeps the false bits BeginRound left behind. Quarantined clients are
+  // carved out of the migration action space the same way crashed ones
+  // are: policies only ever see `eligible_`.
+  for (int i : active_clients()) {
+    const size_t s = static_cast<size_t>(i);
+    available_[s] = !faults_.IsCrashed(i);
+    eligible_[s] = available_[s] && reputation_.Eligible(i);
   }
 }
 
@@ -332,6 +299,7 @@ double Trainer::LocalUpdatePhase(int epoch, double* phase_seconds) {
     Client& client = MaterializedClient(i);
     if (!client.has_model()) return;  // first-round sync download lost
     results[static_cast<size_t>(t)] = client.LocalUpdate(options);
+    nn::PublishGemmTally();
   });
 
   double loss_weighted = 0.0;
@@ -409,7 +377,6 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
   double upload_seconds = 0.0;
   std::vector<bool> arrived(static_cast<size_t>(k), false);
   for (int i : active) {
-    if (!participating_[static_cast<size_t>(i)]) continue;
     if (faulty && faults_.IsCrashed(i)) continue;
     if (!reputation_.Eligible(i)) {
       // Quarantined: the server refuses the upload outright — no transfer,
@@ -471,9 +438,8 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
     int expected = 0;
     int arrived_count = 0;
     for (int i : active) {
-      const size_t s = static_cast<size_t>(i);
-      if (participating_[s] && reputation_.Eligible(i)) ++expected;
-      if (arrived[s]) ++arrived_count;
+      if (reputation_.Eligible(i)) ++expected;
+      if (arrived[static_cast<size_t>(i)]) ++arrived_count;
     }
     const bool quorum_met =
         expected == 0 ||
@@ -577,49 +543,21 @@ Evaluation Trainer::AggregationPhase(int epoch, bool evaluate) {
   }
 
   // Distribution: global model back to every reachable client; a client
-  // whose download is lost keeps training on its stale model. Each
-  // successful delivery installs an alias of the published block — O(1)
-  // per client instead of a deep copy.
+  // whose download is lost keeps training on its stale model and keeps its
+  // accumulated provenance. Each successful delivery installs an alias of
+  // the published block — O(1) per client instead of a deep copy.
   double download_seconds = 0.0;
-  std::vector<bool> refreshed(static_cast<size_t>(k), false);
-  for (int i = 0; i < k; ++i) {
+  for (int i : active) {
     if (faulty && faults_.IsCrashed(i)) continue;
-    const net::TransferResult res = faults_.Transfer(
-        net::kServerId, i, model_bytes_, topology_, &traffic_);
-    download_seconds = config_.wan_shared
-                           ? download_seconds + res.seconds
-                           : std::max(download_seconds, res.seconds);
-    budget_.ConsumeBandwidth(static_cast<double>(res.bytes));
-    if (!res.status.ok()) continue;
-    if (res.corrupted && CorruptedPayloadRejected(server_->global_model())) {
-      faults_.CountCorruptRejected();
-      continue;
-    }
-    Client& client = MaterializedClient(i);
-    client.SetModel(store_.aggregate());
-    client.SetProximalReference(store_.aggregate_flat());
-    refreshed[static_cast<size_t>(i)] = true;
-    model_lineage_[static_cast<size_t>(i)] = store_.aggregate_lineage();
-    if (journal_ != nullptr) {
-      journal_->ModelDistributed(epoch, i, store_.aggregate_lineage());
-    }
+    DeliverAggregate(epoch, i, &download_seconds);
   }
   budget_.ConsumeTime(upload_seconds + download_seconds);
-
-  // Fresh replicas reset their provenance; clients that missed the
-  // download keep their stale model and its accumulated provenance.
-  for (int i = 0; i < k; ++i) {
-    if (!refreshed[static_cast<size_t>(i)]) continue;
-    std::fill(model_distributions_[static_cast<size_t>(i)].begin(),
-              model_distributions_[static_cast<size_t>(i)].end(), 0.0);
-    model_samples_[static_cast<size_t>(i)] = 0.0;
-  }
   return eval;
 }
 
 int Trainer::ApplyMigrationMoves(int epoch, const MigrationPlan& plan,
                                  const MigrationExecution& exec,
-                                 const std::vector<int>* node_ids) {
+                                 const std::vector<int>& roster) {
   // Two-phase capture/install so every move is atomic under faults. Phase 1
   // captures EVERY planned source's payload before installing anything:
   // plans can chain (a <- b while b <- c), so installs must read pre-move
@@ -646,14 +584,12 @@ int Trainer::ApplyMigrationMoves(int epoch, const MigrationPlan& plan,
   for (int j = 0; j < n; ++j) {
     const int src_local = plan.incoming[static_cast<size_t>(j)];
     if (src_local == j) continue;
-    const int src =
-        node_ids != nullptr ? (*node_ids)[static_cast<size_t>(src_local)]
-                            : src_local;
+    const int src = roster[static_cast<size_t>(src_local)];
     Client& source = MaterializedClient(src);
     if (!source.has_model()) continue;
     Move move;
     move.src = src;
-    move.dst = node_ids != nullptr ? (*node_ids)[static_cast<size_t>(j)] : j;
+    move.dst = roster[static_cast<size_t>(j)];
     move.delivered = exec.delivered[static_cast<size_t>(j)];
     move.fallback = move.delivered &&
                     static_cast<size_t>(j) < exec.via_fallback.size() &&
@@ -710,54 +646,85 @@ int Trainer::ApplyMigrationMoves(int epoch, const MigrationPlan& plan,
 }
 
 int Trainer::MigrationPhase(int epoch, double loss) {
-  if (cohort_mode()) return CohortMigrationPhase(epoch, loss);
   FEDMIGR_TRACE_SCOPE("fl/migrate");
-  const int k = num_clients();
+  // Policies plan in roster-local ids t = 0..n-1; `roster[t]` maps a plan
+  // index back to its global client id (the identity in legacy mode).
+  // Policies (including the DRL planner, whose candidate features are
+  // fixed-dimension) size everything from the context, so a C-client
+  // cohort view drives them untouched.
+  const std::vector<int>& roster = active_clients();
+  const int n = static_cast<int>(roster.size());
+  if (n == 0) return 0;
   std::vector<std::vector<double>> client_dists;
-  client_dists.reserve(static_cast<size_t>(k));
-  for (int i = 0; i < k; ++i) {
+  std::vector<std::vector<double>> model_dists;
+  std::vector<bool> roster_eligible(static_cast<size_t>(n));
+  client_dists.reserve(static_cast<size_t>(n));
+  model_dists.reserve(static_cast<size_t>(n));
+  for (int t = 0; t < n; ++t) {
+    const int i = roster[static_cast<size_t>(t)];
     client_dists.push_back(MaterializedClient(i).label_distribution());
+    model_dists.push_back(model_distributions_[static_cast<size_t>(i)]);
+    roster_eligible[static_cast<size_t>(t)] =
+        eligible_[static_cast<size_t>(i)];
+  }
+  // Legacy mode plans against the real topology, so per-link multipliers
+  // (bench_fig8's slow links) stay visible to the policy. A cohort plans
+  // against a sub-topology that inherits LAN membership and base
+  // bandwidths; per-link multipliers only affect the executed cost below,
+  // which runs against the real topology under global ids.
+  std::optional<net::Topology> sub_topology;
+  if (cohort_mode()) {
+    net::TopologyConfig sub_config;
+    const net::TopologyConfig& full = topology_.config();
+    sub_config.intra_lan_mbps = full.intra_lan_mbps;
+    sub_config.cross_lan_mbps = full.cross_lan_mbps;
+    sub_config.wan_mbps = full.wan_mbps;
+    sub_config.link_latency_s = full.link_latency_s;
+    sub_config.lan_of.reserve(static_cast<size_t>(n));
+    for (int i : roster) sub_config.lan_of.push_back(topology_.lan_of(i));
+    sub_topology.emplace(std::move(sub_config));
   }
 
   PolicyContext ctx;
   ctx.epoch = epoch;
-  ctx.topology = &topology_;
+  ctx.topology = sub_topology ? &*sub_topology : &topology_;
   ctx.model_bytes = model_bytes_;
   ctx.client_distributions = &client_dists;
-  ctx.model_distributions = &model_distributions_;
+  ctx.model_distributions = &model_dists;
   ctx.global_loss = loss;
   ctx.budget = &budget_;
   ctx.rng = &rng_;
   // Policies plan over `eligible_`: availability minus quarantine, so a
   // quarantined client is out of the DRL/FLMM action space entirely.
-  ctx.available = &eligible_;
+  ctx.available = &roster_eligible;
 
   MigrationPlan plan = policy_->Plan(ctx);
-  FEDMIGR_CHECK_EQ(static_cast<int>(plan.incoming.size()), k);
+  FEDMIGR_CHECK_EQ(static_cast<int>(plan.incoming.size()), n);
   // Ineligible clients (unavailable or quarantined) neither send nor
   // receive this epoch — a quarantined replica must not migrate, or its
   // poison would outlive the quarantine.
-  for (int j = 0; j < k; ++j) {
+  for (int j = 0; j < n; ++j) {
     const int src = plan.incoming[static_cast<size_t>(j)];
-    if (src != j && (!eligible_[static_cast<size_t>(j)] ||
-                     !eligible_[static_cast<size_t>(src)])) {
+    if (src != j && (!roster_eligible[static_cast<size_t>(j)] ||
+                     !roster_eligible[static_cast<size_t>(src)])) {
       plan.incoming[static_cast<size_t>(j)] = j;
     }
   }
   if (plan.IsIdentity()) return 0;
 
-  // DP noise is added before a model leaves its client.
+  // DP noise is added before a model leaves its client. A cohort member
+  // whose first download was lost has no model to noise (and ships none).
   if (config_.dp.enabled()) {
     for (size_t j = 0; j < plan.incoming.size(); ++j) {
       const int src = plan.incoming[j];
-      if (src != static_cast<int>(j)) {
-        ApplyDp(&MaterializedClient(src).mutable_model());
-      }
+      if (src == static_cast<int>(j)) continue;
+      Client& source = MaterializedClient(roster[static_cast<size_t>(src)]);
+      if (source.has_model()) ApplyDp(&source.mutable_model());
     }
   }
 
-  MigrationExecution exec =
-      ExecuteWithFaults(plan, topology_, model_bytes_, &traffic_, &faults_);
+  MigrationExecution exec = ExecuteWithFaults(
+      plan, topology_, model_bytes_, &traffic_, &faults_, &roster);
   budget_.ConsumeBandwidth(static_cast<double>(exec.cost.bytes));
   budget_.ConsumeTime(exec.cost.seconds);
 
@@ -765,7 +732,7 @@ int Trainer::MigrationPhase(int epoch, double loss) {
   // rejected and the destination keeps the model it already has.
   for (size_t j = 0; j < exec.delivered.size(); ++j) {
     if (!exec.delivered[j] || !exec.corrupted[j]) continue;
-    const int src = plan.incoming[j];
+    const int src = roster[static_cast<size_t>(plan.incoming[j])];
     if (CorruptedPayloadRejected(MaterializedClient(src).model())) {
       faults_.CountCorruptRejected();
       exec.delivered[j] = false;
@@ -774,91 +741,7 @@ int Trainer::MigrationPhase(int epoch, double loss) {
 
   // Move the replicas (and their provenance) according to the plan; a
   // failed move degrades gracefully — the destination keeps its model.
-  return ApplyMigrationMoves(epoch, plan, exec, /*node_ids=*/nullptr);
-}
-
-int Trainer::CohortMigrationPhase(int epoch, double loss) {
-  FEDMIGR_TRACE_SCOPE("fl/migrate");
-  const int n = static_cast<int>(cohort_.size());
-  if (n == 0) return 0;
-  // Cohort-local sub-problem: policies (including the DRL planner, whose
-  // candidate features are fixed-dimension) size everything from the
-  // context, so a C-client view drives them untouched. The sub-topology
-  // inherits LAN membership and base bandwidths; per-link multiplier
-  // customizations only affect the executed cost below, which runs against
-  // the real topology under global ids.
-  std::vector<std::vector<double>> client_dists;
-  std::vector<std::vector<double>> model_dists;
-  std::vector<bool> local_eligible(static_cast<size_t>(n));
-  client_dists.reserve(static_cast<size_t>(n));
-  model_dists.reserve(static_cast<size_t>(n));
-  net::TopologyConfig sub_config;
-  const net::TopologyConfig& full = topology_.config();
-  sub_config.intra_lan_mbps = full.intra_lan_mbps;
-  sub_config.cross_lan_mbps = full.cross_lan_mbps;
-  sub_config.wan_mbps = full.wan_mbps;
-  sub_config.link_latency_s = full.link_latency_s;
-  sub_config.lan_of.reserve(static_cast<size_t>(n));
-  for (int t = 0; t < n; ++t) {
-    const int i = cohort_[static_cast<size_t>(t)];
-    client_dists.push_back(MaterializedClient(i).label_distribution());
-    model_dists.push_back(model_distributions_[static_cast<size_t>(i)]);
-    local_eligible[static_cast<size_t>(t)] =
-        eligible_[static_cast<size_t>(i)];
-    sub_config.lan_of.push_back(topology_.lan_of(i));
-  }
-  net::Topology sub_topology(std::move(sub_config));
-
-  PolicyContext ctx;
-  ctx.epoch = epoch;
-  ctx.topology = &sub_topology;
-  ctx.model_bytes = model_bytes_;
-  ctx.client_distributions = &client_dists;
-  ctx.model_distributions = &model_dists;
-  ctx.global_loss = loss;
-  ctx.budget = &budget_;
-  ctx.rng = &rng_;
-  ctx.available = &local_eligible;
-
-  MigrationPlan plan = policy_->Plan(ctx);
-  FEDMIGR_CHECK_EQ(static_cast<int>(plan.incoming.size()), n);
-  for (int j = 0; j < n; ++j) {
-    const int src = plan.incoming[static_cast<size_t>(j)];
-    if (src != j && (!local_eligible[static_cast<size_t>(j)] ||
-                     !local_eligible[static_cast<size_t>(src)])) {
-      plan.incoming[static_cast<size_t>(j)] = j;
-    }
-  }
-  if (plan.IsIdentity()) return 0;
-
-  if (config_.dp.enabled()) {
-    for (size_t j = 0; j < plan.incoming.size(); ++j) {
-      const int src = plan.incoming[j];
-      if (src != static_cast<int>(j)) {
-        ApplyDp(&MaterializedClient(cohort_[static_cast<size_t>(src)])
-                     .mutable_model());
-      }
-    }
-  }
-
-  // Execution happens on the real fleet: `cohort_` maps the plan's local
-  // index space back to global ids so traffic and fault accounting land on
-  // the actual links.
-  MigrationExecution exec = ExecuteWithFaults(
-      plan, topology_, model_bytes_, &traffic_, &faults_, &cohort_);
-  budget_.ConsumeBandwidth(static_cast<double>(exec.cost.bytes));
-  budget_.ConsumeTime(exec.cost.seconds);
-
-  for (size_t j = 0; j < exec.delivered.size(); ++j) {
-    if (!exec.delivered[j] || !exec.corrupted[j]) continue;
-    const int src = cohort_[static_cast<size_t>(plan.incoming[j])];
-    if (CorruptedPayloadRejected(MaterializedClient(src).model())) {
-      faults_.CountCorruptRejected();
-      exec.delivered[j] = false;
-    }
-  }
-
-  return ApplyMigrationMoves(epoch, plan, exec, &cohort_);
+  return ApplyMigrationMoves(epoch, plan, exec, roster);
 }
 
 Evaluation Trainer::VirtualEvaluation() {
@@ -885,6 +768,9 @@ Evaluation Trainer::VirtualEvaluation() {
 RunResult Trainer::Run() {
   result_.scheme = config_.scheme_name;
   result_.interrupted = false;
+  // GEMM counters batch per thread; publish at the run's edges so the
+  // registry delta across Run() holds exactly this run's GEMMs.
+  nn::PublishGemmTally();
 
   // Checked live at each use below (not latched): the epoch hook may
   // install or detach the journal between epochs — the overhead harness in
@@ -931,30 +817,11 @@ RunResult Trainer::Run() {
       if (!down && was_down) journal_->ChaosServerUp(epoch);
     }
 
-    // A new global iteration starts right after each aggregation.
-    if (cohort_mode()) {
-      const int64_t round = (epoch - 1) / config_.agg_period;
-      if ((epoch - 1) % config_.agg_period == 0) {
-        BeginRound(round);
-      } else if (round != cohort_round_) {
-        // Resumed mid-round from a pre-chaos snapshot: the members' state
-        // came back with the snapshot; only the cohort list needs
-        // recomputing (the same churn filter BeginRound applies — carryover
-        // is only ever consumed at a round boundary, so none is in flight
-        // mid-round).
-        const std::vector<int> sampled = cohort_sampler_->Sample(round);
-        cohort_.clear();
-        for (int i : sampled) {
-          if (config_.fault.chaos.churn_rate > 0.0 &&
-              faults_.ChurnedOut(i, round)) {
-            continue;
-          }
-          cohort_.push_back(i);
-        }
-        cohort_round_ = round;
-      }
-    } else if ((epoch - 1) % config_.agg_period == 0) {
-      ResampleParticipants();
+    // A new global iteration starts right after each aggregation; in cohort
+    // mode it brings a new roster. A resumed run continues with the roster
+    // its snapshot restored.
+    if (cohort_mode() && (epoch - 1) % config_.agg_period == 0) {
+      BeginRound((epoch - 1) / config_.agg_period);
     }
     RollAvailability();
 
@@ -1091,11 +958,8 @@ RunResult Trainer::Run() {
     // chunks committed so far — kill-anywhere resume replays to a
     // byte-equal journal.
     if (journal_ != nullptr) {
-      int participated = 0;
-      for (int i : active_clients()) {
-        if (participating_[static_cast<size_t>(i)]) ++participated;
-      }
-      journal_->RoundCommitted(epoch, participated,
+      journal_->RoundCommitted(epoch,
+                               static_cast<int>(active_clients().size()),
                                store_.aggregate_lineage() != lineage_before,
                                store_.aggregate_lineage(), record.train_loss);
       const util::Status committed = journal_->CommitEpoch(epoch);
@@ -1139,6 +1003,7 @@ RunResult Trainer::Run() {
           reputation_.first_quarantine_round(i);
     }
   }
+  nn::PublishGemmTally();
   if (obs::Telemetry::enabled()) {
     result_.metrics = obs::Registry::Default().Snapshot();
   }

@@ -55,23 +55,17 @@ struct TrainerConfig {
   double learning_rate = 0.05;
   double momentum = 0.0;
   double fedprox_mu = 0.0;
-  // Fraction α of clients selected per global iteration (Sec. II-A's
-  // FedAvg knob). 1.0 = all clients, the paper's evaluation setting.
-  double client_fraction = 1.0;
-  // Partial-participation cohort scheduling for fleet-scale runs. 0 keeps
-  // the legacy full-participation loop (bit-identical to pre-cohort
-  // builds). A positive value C selects a deterministic cohort of C clients
-  // per aggregation round (seeded by `seed` and the round index); only
-  // cohort members are materialized, trained, screened, aggregated and
-  // migrated, so per-epoch cost is O(C) and memory is O(C) model blocks on
-  // top of the shared aggregate. Mutually exclusive with client_fraction
-  // < 1 (cohorts *are* the participation sample).
+  // Partial participation (Sec. II-A's FedAvg fraction α = C / K). 0 keeps
+  // the legacy full-participation loop, the paper's evaluation setting
+  // (bit-identical to pre-cohort builds). A positive value C selects a
+  // deterministic cohort of C clients per aggregation round (seeded by
+  // `seed` and the round index); only cohort members are materialized,
+  // trained, screened, aggregated and migrated, so per-epoch cost is O(C)
+  // and memory is O(C) model blocks on top of the shared aggregate.
+  // Per-epoch client unavailability (edge nodes that "dynamically
+  // join/leave the system", Sec. III-C) is the fault model's crash window:
+  // `fault.crash_prob` with crash_min_epochs = crash_max_epochs = 1.
   int cohort_size = 0;
-  // Per-epoch probability that a client is unavailable (edge nodes
-  // "dynamically join/leave the system", Sec. III-C). An unavailable
-  // client skips local updating and neither sends nor receives migrations
-  // that epoch.
-  double dropout_prob = 0.0;
   // Target test accuracy in [0, 1]; <= 0 disables early stopping.
   double target_accuracy = -1.0;
   // Evaluate the (virtual) global model every this many epochs.
@@ -238,11 +232,10 @@ class Trainer {
   // set (evaluation is measurement, not simulation, and is the dominant
   // cost for schemes that aggregate every epoch).
   Evaluation AggregationPhase(int epoch, bool evaluate);
-  // Plans and executes one migration round; returns number of moves.
+  // Plans one migration round over the roster (in roster-local ids; a
+  // cohort plans against a cohort-induced sub-topology) and executes it
+  // against the real fleet; returns the number of installed moves.
   int MigrationPhase(int epoch, double loss);
-  // Cohort-local migration: plans over the C active clients against a
-  // cohort-induced sub-topology, then executes against the real fleet.
-  int CohortMigrationPhase(int epoch, double loss);
   // Weighted average of current local models, evaluated on the test set
   // (measurement only; no traffic is charged).
   Evaluation VirtualEvaluation();
@@ -265,10 +258,16 @@ class Trainer {
   // the new one, materializes its members and delivers the current
   // aggregate to them (the cohort-mode Model Distribution).
   void BeginRound(int64_t round);
-  // Applies the CoW model moves shared by both migration paths.
+  // Sends the published aggregate to client i over the WAN (charged to
+  // traffic and bandwidth; the transfer time is folded into
+  // `*download_seconds`). A delivered, uncorrupted copy is installed as an
+  // alias and resets the replica's provenance and lineage.
+  void DeliverAggregate(int epoch, int i, double* download_seconds);
+  // Applies a roster-local plan's CoW model moves; `roster[t]` is the
+  // global id of plan index t.
   int ApplyMigrationMoves(int epoch, const MigrationPlan& plan,
                           const MigrationExecution& exec,
-                          const std::vector<int>* node_ids);
+                          const std::vector<int>& roster);
 
   TrainerConfig config_;
   // SNAPSHOT-SKIP(construction-time inputs, supplied again on resume)
@@ -314,15 +313,15 @@ class Trainer {
   // migrations — the causal edge stream the flight recorder emits.
   std::vector<int64_t> model_lineage_;
 
-  // Participation state: the α-sample for the current global iteration and
-  // this epoch's availability (participation minus dropouts). `eligible_`
-  // additionally masks out quarantined clients; it is what the migration
-  // policies (and thus the DRL/FLMM action space) see, and it equals
-  // `available_` whenever reputation is disabled.
+  // Participation state: roster membership and this epoch's availability
+  // (roster members that are not crashed). `eligible_` additionally masks
+  // out quarantined clients; it is what the migration policies (and thus
+  // the DRL/FLMM action space) see, and it equals `available_` whenever
+  // reputation is disabled. `participating_` is true exactly for the
+  // roster members and is kept only for the snapshot layout.
   std::vector<bool> participating_;
   std::vector<bool> available_;
   std::vector<bool> eligible_;
-  void ResampleParticipants();
   void RollAvailability();
 
   // Robustness state: the aggregation rule installed into the server (null

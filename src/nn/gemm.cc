@@ -53,7 +53,8 @@ int ResolveThreadsLocked() {
 // fetch_add per call turns into cache-line ping-pong that alone can blow
 // the <2% telemetry budget (DESIGN.md §11). Each thread publishes into the
 // registry every kGemmTallyFlush calls, so registry reads lag a live thread
-// by at most kGemmTallyFlush - 1 calls.
+// by at most kGemmTallyFlush - 1 calls — except across PublishGemmTally(),
+// which callers run at the boundaries of a measured span.
 struct GemmTally {
   int64_t calls = 0;
   int64_t flops = 0;
@@ -354,6 +355,10 @@ void Sgemm(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
     gemm_ms->Observe(static_cast<double>(obs::MonotonicNowNs() - start_ns) *
                      1e-6);
   }
+}
+
+void PublishGemmTally() {
+  if (t_gemm_tally.calls > 0) FlushGemmTally(&t_gemm_tally);
 }
 
 }  // namespace fedmigr::nn

@@ -76,6 +76,13 @@ int GetIntraOpThreads();
 void IntraOpParallelRange(int64_t n, int64_t grain,
                           const std::function<void(int64_t, int64_t)>& fn);
 
+// Publishes the calling thread's batched GEMM call/FLOP tally into the
+// registry counters (nn/gemm_calls, nn/gemm_flops). Each thread otherwise
+// publishes only every 512 calls, so a thread that exits (or a span that
+// ends) mid-batch would drop or defer its remainder; call this at the end
+// of every task and span whose GEMM counts are read.
+void PublishGemmTally();
+
 // Name of the micro-kernel runtime dispatch selected on this machine:
 // "avx2+fma" or "portable". Setting FEDMIGR_GEMM_KERNEL=portable forces
 // the portable path (bit-compatible with the legacy scalar kernels).

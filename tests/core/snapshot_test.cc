@@ -46,7 +46,9 @@ fl::SchemeSetup SmallFedMigr(const Workload& w) {
   setup.config.max_epochs = 6;
   setup.config.eval_every = 2;
   setup.config.seed = 42;
-  setup.config.dropout_prob = 0.1;
+  setup.config.fault.crash_prob = 0.1;
+  setup.config.fault.crash_min_epochs = 1;
+  setup.config.fault.crash_max_epochs = 1;
   setup.config.fault.link_failure_prob = 0.05;
   setup.config.fault.corruption_prob = 0.02;
   setup.config.fault.seed = 19;

@@ -1,4 +1,6 @@
-// Tests of partial participation (FedAvg's α fraction) and client dropout.
+// Tests of partial participation (FedAvg's α fraction, expressed as a
+// cohort of C = αK clients per round) and per-epoch client dropout (the
+// fault model's one-epoch crash windows).
 
 #include <gtest/gtest.h>
 
@@ -37,18 +39,19 @@ struct Fixture {
 
 TEST(ParticipationTest, HalfFractionHalvesUploadTraffic) {
   Fixture f;
-  auto make = [](double fraction) {
+  auto make = [](int cohort_size) {
     SchemeSetup setup = MakeFedAvg();
     setup.config.max_epochs = 4;
     setup.config.eval_every = 0;
-    setup.config.client_fraction = fraction;
+    setup.config.cohort_size = cohort_size;
     return setup;
   };
-  const RunResult full = f.Run(make(1.0));
-  const RunResult half = f.Run(make(0.5));
-  // Upload side halves; downloads still go to everyone. FedAvg traffic =
-  // uploads + downloads, so half-participation sits strictly between 50%
-  // and 100% of the full-participation traffic.
+  const RunResult full = f.Run(make(0));
+  const RunResult half = f.Run(make(5));
+  // Every round uploads from 5 of the 10 clients instead of all 10.
+  EXPECT_GT(full.c2s_up_gb, 0.0);
+  EXPECT_DOUBLE_EQ(half.c2s_up_gb, 0.5 * full.c2s_up_gb);
+  // Downloads go to the cohort only, so total C2S traffic drops too.
   EXPECT_LT(half.c2s_gb, full.c2s_gb);
   EXPECT_GT(half.c2s_gb, 0.5 * full.c2s_gb * 0.99);
 }
@@ -57,7 +60,7 @@ TEST(ParticipationTest, FractionStillLearns) {
   Fixture f;
   SchemeSetup setup = MakeFedAvg();
   setup.config.max_epochs = 20;
-  setup.config.client_fraction = 0.5;
+  setup.config.cohort_size = 5;
   setup.config.eval_every = 10;
   setup.config.learning_rate = 0.08;
   const RunResult result = f.Run(std::move(setup));
@@ -68,10 +71,11 @@ TEST(ParticipationTest, TinyFractionSelectsAtLeastOne) {
   Fixture f;
   SchemeSetup setup = MakeFedAvg();
   setup.config.max_epochs = 2;
-  setup.config.client_fraction = 0.01;
+  setup.config.cohort_size = 1;
   const RunResult result = f.Run(std::move(setup));
-  // One upload + K downloads per epoch: traffic is positive and small.
+  // One upload and one download per epoch: traffic is positive and small.
   EXPECT_GT(result.c2s_gb, 0.0);
+  EXPECT_DOUBLE_EQ(result.c2s_up_gb, result.c2s_down_gb);
 }
 
 TEST(DropoutTest, DropoutReducesComputeAndKeepsRunning) {
@@ -80,7 +84,9 @@ TEST(DropoutTest, DropoutReducesComputeAndKeepsRunning) {
     SchemeSetup setup = MakeRandMigr(2);
     setup.config.max_epochs = 8;
     setup.config.eval_every = 0;
-    setup.config.dropout_prob = dropout;
+    setup.config.fault.crash_prob = dropout;
+    setup.config.fault.crash_min_epochs = 1;
+    setup.config.fault.crash_max_epochs = 1;
     setup.config.seed = 33;
     return setup;
   };
@@ -98,7 +104,9 @@ TEST(DropoutTest, FullAvailabilityMatchesDefault) {
   auto run = [&f](double dropout) {
     SchemeSetup setup = MakeFedAvg();
     setup.config.max_epochs = 3;
-    setup.config.dropout_prob = dropout;
+    setup.config.fault.crash_prob = dropout;
+    setup.config.fault.crash_min_epochs = 1;
+    setup.config.fault.crash_max_epochs = 1;
     setup.config.seed = 44;
     return f.Run(std::move(setup));
   };
@@ -111,11 +119,11 @@ TEST(ParticipationTest, MigrationSchemesRespectParticipation) {
   Fixture f;
   SchemeSetup setup = MakeRandMigr(3);
   setup.config.max_epochs = 6;
-  setup.config.client_fraction = 0.5;
+  setup.config.cohort_size = 5;
   const RunResult result = f.Run(std::move(setup));
   EXPECT_EQ(result.epochs_run, 6);
   // With 5 of 10 clients active, per-aggregation uploads drop to 5.
-  // 2 aggregations x (5 up + 10 down) + migrations.
+  // 2 aggregations x (5 up + up to 5 down) + migrations.
   EXPECT_GT(result.c2s_gb, 0.0);
 }
 

@@ -10,8 +10,10 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
+#include "fl/cohort.h"
 #include "fl/policies.h"
 #include "fl/trainer.h"
+#include "net/fault.h"
 #include "net/topology.h"
 #include "nn/zoo.h"
 #include "util/rng.h"
@@ -166,6 +168,73 @@ TEST(TrainerChaosTest, ChurnIsDeterministicAndCounted) {
   EXPECT_GT(ra.chaos.churn_absences, 0);
   EXPECT_EQ(ra.chaos.churn_absences, rb.chaos.churn_absences);
   EXPECT_EQ(ra.chaos.churn_departures, rb.chaos.churn_departures);
+}
+
+TEST(TrainerChaosTest, ChurnDeparturesCountOnlyRetiredMembers) {
+  // A departure is a member of round r - 1's effective cohort that churned
+  // out by round r. With one-client cohorts and 50% churn, about half the
+  // rounds end up with an empty cohort; such a round has no member, so the
+  // next round boundary must retire nobody. Both the sampler and the churn
+  // schedule are pure, so the expected count follows from them alone.
+  constexpr int kFleet = 12;
+  constexpr int kEpochs = 40;
+  data::SyntheticSpec spec = data::C10Spec();
+  spec.train_per_class = 12;
+  spec.test_per_class = 2;
+  const data::TrainTest data = data::GenerateSynthetic(spec);
+  util::Rng rng(5);
+  TrainerConfig config;
+  config.scheme_name = "churn-departures";
+  config.max_epochs = kEpochs;
+  config.agg_period = 1;
+  config.cohort_size = 1;
+  config.eval_every = 0;
+  config.batch_size = 8;
+  config.seed = 99;
+  config.fault.chaos.churn_rate = 0.5;
+  net::TopologyConfig tc;
+  tc.lan_of = net::EvenLanAssignment(kFleet, 3);
+  Trainer trainer(config, &data.train,
+                  data::PartitionIid(data.train, kFleet, &rng), &data.test,
+                  net::Topology(std::move(tc)), net::MakeUniformFleet(kFleet),
+                  [](util::Rng* r) { return nn::MakeC10Net(r); },
+                  std::make_unique<RandomMigrationPolicy>());
+  const RunResult result = trainer.Run();
+
+  const CohortSampler sampler(config.seed, kFleet, config.cohort_size);
+  const net::FaultInjector churn(config.fault);
+  int64_t expected = 0;
+  int empty_rounds = 0;
+  std::vector<int> previous;
+  for (int64_t round = 0; round < kEpochs; ++round) {
+    for (int i : previous) {
+      if (churn.ChurnedOut(i, round)) ++expected;
+    }
+    previous.clear();
+    for (int i : sampler.Sample(round)) {
+      if (!churn.ChurnedOut(i, round)) previous.push_back(i);
+    }
+    if (previous.empty()) ++empty_rounds;
+  }
+  ASSERT_GT(empty_rounds, 0);
+  ASSERT_GT(expected, 0);
+  EXPECT_EQ(result.chaos.churn_departures, expected);
+}
+
+TEST(TrainerChaosTest, PrivateMigrationSkipsMembersWithoutAModel) {
+  // A server outage on epoch 1 loses every first-round download, so the
+  // cohort has no model when epoch 1's migrations are planned. DP noise is
+  // applied only to sources that hold a model; nobody does, so nothing
+  // migrates, and the run carries on once the server is back.
+  ChaosWorkload w;
+  TrainerConfig config = w.MakeConfig(8);
+  config.fault.chaos.outages.push_back({/*start_epoch=*/1,
+                                        /*duration_epochs=*/1});
+  config.dp.epsilon = 8.0;
+  Trainer trainer = w.MakeTrainer(std::move(config));
+  const RunResult result = trainer.Run();
+  EXPECT_EQ(result.epochs_run, 6);
+  EXPECT_EQ(result.history[0].migrations, 0);
 }
 
 TEST(TrainerChaosTest, ChurnRequiresCohortMode) {

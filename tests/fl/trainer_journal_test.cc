@@ -63,14 +63,16 @@ struct TinyWorkload {
   std::vector<net::DeviceProfile> devices;
 };
 
-// A scheme exercising every journaled stream: migrations, dropout, faults
-// (stragglers, corruption) and periodic aggregation.
+// A scheme exercising every journaled stream: migrations, one-epoch crash
+// windows, faults (stragglers, corruption) and periodic aggregation.
 SchemeSetup EventfulScheme() {
   SchemeSetup setup = MakeRandMigr(/*agg_period=*/2);
   setup.config.max_epochs = 6;
   setup.config.eval_every = 2;
   setup.config.seed = 77;
-  setup.config.dropout_prob = 0.1;
+  setup.config.fault.crash_prob = 0.1;
+  setup.config.fault.crash_min_epochs = 1;
+  setup.config.fault.crash_max_epochs = 1;
   setup.config.fault.link_failure_prob = 0.1;
   setup.config.fault.corruption_prob = 0.05;
   setup.config.fault.straggler_prob = 0.2;

@@ -41,15 +41,18 @@ struct TinyWorkload {
   std::vector<net::DeviceProfile> devices;
 };
 
-// A scheme exercising every snapshotted stream: migrations, dropout (trainer
-// RNG), faults (injector RNG + counters) and FedProx references.
+// A scheme exercising every snapshotted stream: migrations (trainer RNG),
+// one-epoch crash windows, faults (injector RNG + counters) and FedProx
+// references.
 SchemeSetup StatefulScheme() {
   SchemeSetup setup = MakeRandMigr(/*agg_period=*/2);
   setup.config.max_epochs = 6;
   setup.config.eval_every = 2;
   setup.config.seed = 77;
-  setup.config.dropout_prob = 0.1;
   setup.config.fedprox_mu = 0.01;
+  setup.config.fault.crash_prob = 0.1;
+  setup.config.fault.crash_min_epochs = 1;
+  setup.config.fault.crash_max_epochs = 1;
   setup.config.fault.link_failure_prob = 0.1;
   setup.config.fault.corruption_prob = 0.05;
   setup.config.fault.straggler_prob = 0.2;

@@ -32,11 +32,12 @@ struct TinyWorkload {
     partition = data::PartitionByClassShards(data.train, 10, 1, &rng);
   }
 
-  RunResult Run(const std::string& scheme, int epochs) {
+  RunResult Run(const std::string& scheme, int epochs, int num_threads = 1) {
     SchemeSetup setup =
         scheme == "randmigr" ? MakeRandMigr(/*agg_period=*/2) : MakeFedAvg();
     setup.config.max_epochs = epochs;
     setup.config.eval_every = 2;
+    setup.config.num_threads = num_threads;
     Trainer trainer(setup.config, &data.train, partition, &data.test,
                     topology, devices,
                     [](util::Rng* rng) { return nn::MakeC10Net(rng); },
@@ -92,6 +93,29 @@ TEST(TrainerTelemetryTest, RunPopulatesPhaseHistogramsAndCounters) {
   // Loss/accuracy gauges hold the last epoch's values.
   EXPECT_DOUBLE_EQ(result.metrics.GaugeValue("fl/train_loss"),
                    result.history.back().train_loss);
+}
+
+TEST(TrainerTelemetryTest, GemmTalliesArePublishedAtRunBoundaries) {
+  if (!obs::Telemetry::compiled_in()) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  // GEMM counters batch per thread. Every local-update task and both edges
+  // of Run() publish the batch, so the registry delta across one run counts
+  // exactly its GEMMs — the same work whatever the pool width, and the
+  // same on a repeat.
+  TinyWorkload w;
+  auto gemm_delta = [&w](int num_threads, const char* name) {
+    const obs::MetricsSnapshot before = obs::Registry::Default().Snapshot();
+    const RunResult result = w.Run("randmigr", 3, num_threads);
+    return result.metrics.CounterValue(name) - before.CounterValue(name);
+  };
+  const int64_t calls = gemm_delta(1, "nn/gemm_calls");
+  EXPECT_GT(calls, 0);
+  EXPECT_EQ(gemm_delta(4, "nn/gemm_calls"), calls);
+  EXPECT_EQ(gemm_delta(1, "nn/gemm_calls"), calls);
+  const int64_t flops = gemm_delta(1, "nn/gemm_flops");
+  EXPECT_GT(flops, 0);
+  EXPECT_EQ(gemm_delta(4, "nn/gemm_flops"), flops);
 }
 
 TEST(TrainerTelemetryTest, DisabledTelemetryLeavesResultsIdentical) {
